@@ -21,6 +21,7 @@
 //!
 //! Run everything: `cargo run -p fluxpm-experiments --bin run_all`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod chaos;
 pub mod experiments;

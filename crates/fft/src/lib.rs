@@ -36,6 +36,7 @@
 //! assert!((est.period_seconds - 10.0).abs() < 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod analyzer;
 pub mod complex;

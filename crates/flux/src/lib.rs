@@ -21,6 +21,7 @@
 //! semantics the power modules depend on while making every experiment
 //! bit-reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod broker;
 pub mod job;

@@ -66,11 +66,19 @@ pub trait Protocol: Clone + 'static {
     /// carried variant matches the message's topic. Handlers should
     /// surface the error via
     /// [`World::respond_error`](crate::World::respond_error).
+    #[inline]
     fn decode(msg: &Message) -> Result<Self, ProtocolError> {
+        Self::decode_ref(msg).cloned()
+    }
+
+    /// [`Protocol::decode`] without the clone: borrow the payload the
+    /// message carries. For hot handlers whose variants hold large
+    /// batches they only read.
+    #[inline]
+    fn decode_ref(msg: &Message) -> Result<&Self, ProtocolError> {
         let Some(value) = msg.payload_as::<Self>() else {
             return Err(ProtocolError::bad_payload(msg));
         };
-        let value = value.clone();
         if value.topic() != msg.topic {
             return Err(ProtocolError::wrong_topic(msg, value.topic()));
         }
@@ -103,6 +111,9 @@ mod tests {
         let req = Ping::A(7);
         let msg = Message::request(Rank(0), Rank(1), req.topic(), req.encode());
         assert_eq!(Ping::decode(&msg), Ok(Ping::A(7)));
+        // The borrowing decode hands out the carried payload itself.
+        let borrowed = Ping::decode_ref(&msg).unwrap();
+        assert!(std::ptr::eq(borrowed, msg.payload_as::<Ping>().unwrap()));
     }
 
     #[test]
@@ -118,5 +129,6 @@ mod tests {
         let msg = Message::request(Rank(0), Rank(1), "ping.a", Ping::B("x".into()).encode());
         let err = Ping::decode(&msg).unwrap_err();
         assert!(err.reason.contains("carries"), "{err}");
+        assert_eq!(Ping::decode_ref(&msg).unwrap_err(), err);
     }
 }

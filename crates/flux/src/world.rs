@@ -1282,6 +1282,35 @@ impl World {
         })
     }
 
+    /// One-shot, keyed counterpart of [`World::schedule_module_timer`]:
+    /// call the module's [`Module::timer`](crate::Module::timer) with
+    /// `tag` once at `at`, ordered among same-instant events by `key`
+    /// (see [`Engine::schedule_keyed`]). `u64::MAX` sorts above every
+    /// [`delivery_key`](crate::world_shard::delivery_key), so such a
+    /// timer runs after everything else at its instant, in the same
+    /// order in every shard partition. Pinned to the broker
+    /// incarnation the same way.
+    pub fn schedule_module_timer_once(
+        &mut self,
+        eng: &mut FluxEngine,
+        rank: Rank,
+        module_name: &'static str,
+        at: SimTime,
+        key: u64,
+        tag: u64,
+    ) -> fluxpm_sim::EventId {
+        let incarnation = self.brokers[rank.index()].incarnation();
+        eng.schedule_keyed(at, key, move |world: &mut World, eng| {
+            if world.halted || world.brokers[rank.index()].incarnation() != incarnation {
+                return;
+            }
+            if let Some(module) = world.brokers[rank.index()].module(module_name) {
+                let mut ctx = ModuleCtx { world, eng, rank };
+                module.borrow_mut().timer(&mut ctx, tag);
+            }
+        })
+    }
+
     // ------------------------------------------------------------------
     // Messaging
     // ------------------------------------------------------------------

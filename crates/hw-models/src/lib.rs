@@ -19,6 +19,7 @@
 //! per-component throttle factors that the workload model uses to slow
 //! application progress.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod arch;
 pub mod capping;

@@ -18,6 +18,7 @@
 //! controller — lives in [`allocator`] and [`fpp`], fully unit-testable
 //! without a simulation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod allocator;
 pub mod cluster;

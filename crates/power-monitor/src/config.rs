@@ -40,12 +40,6 @@ pub struct MonitorConfig {
     /// A full batch coalesces to latest-per-node, then sheds oldest
     /// (see [`crate::relay`]).
     pub relay_batch_capacity: usize,
-    /// When set, relays (and the root core) flush pending edge batches
-    /// on this timer cadence instead of synchronously per upstream
-    /// batch. `None` (the default) keeps the per-publish flush: one
-    /// wire message per interested edge per push, which preserves
-    /// delta-for-delta timing parity with the PR 7 root-local hub.
-    pub relay_flush_interval: Option<SimDuration>,
 }
 
 impl Default for MonitorConfig {
@@ -60,7 +54,6 @@ impl Default for MonitorConfig {
             subscriber_queue_capacity: 64,
             subscriber_evict_after_drops: 256,
             relay_batch_capacity: crate::DEFAULT_RELAY_BATCH_CAPACITY,
-            relay_flush_interval: None,
         }
     }
 }
@@ -118,13 +111,6 @@ impl MonitorConfig {
     pub fn with_relay_batch_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0);
         self.relay_batch_capacity = capacity;
-        self
-    }
-
-    /// Flush relay edge batches on a timer instead of per publish.
-    pub fn with_relay_flush_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero());
-        self.relay_flush_interval = Some(interval);
         self
     }
 

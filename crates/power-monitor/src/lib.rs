@@ -24,6 +24,7 @@
 //! into application slowdown — the physical mechanism behind the measured
 //! 1.2 % / 0.04 % overheads in paper Fig. 3.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod client;
 pub mod config;
@@ -80,7 +81,6 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
         std::rc::Rc::new(std::cell::RefCell::new(TelemetryRelay::new(
             config.subscription_config(),
             config.relay_batch_capacity,
-            config.relay_flush_interval,
         )))
     };
     for rank in world.tbon.ranks().collect::<Vec<_>>() {
@@ -92,7 +92,7 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
     let build_root_agent = |config: &MonitorConfig| {
         let mut agent =
             RootAgent::with_subscriptions(config.rpc_deadline, config.subscription_config())
-                .with_relay_batching(config.relay_batch_capacity, config.relay_flush_interval);
+                .with_relay_batching(config.relay_batch_capacity);
         if let Some(every) = config.link_export_interval {
             agent = agent.with_link_export(every);
         }

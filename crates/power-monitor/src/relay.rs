@@ -17,10 +17,10 @@
 //!   up its TBON edge as one [`AggregateFilter`], so each tree edge
 //!   carries only deltas some descendant actually wants;
 //! * **coalesces deltas downward** — deltas destined for one edge are
-//!   batched into a single wire message per flush ([`RelayPlane`]), and
-//!   under backpressure a full batch collapses to latest-per-node
-//!   (per kind), preserving the hub's shed-oldest, state-update
-//!   semantics.
+//!   staged ([`RelayPlane`]) and leave as a single wire message per
+//!   edge per simulated instant, and under backpressure a full batch
+//!   collapses to latest-per-node (per kind), preserving the hub's
+//!   shed-oldest, state-update semantics.
 //!
 //! The root therefore publishes each delta **once per interested child
 //! edge** — O(TBON fanout) — instead of once per subscriber. The
@@ -29,6 +29,19 @@
 //! so survives root failover with its state; the relays are per-rank
 //! modules that rebuild the filter lattice after every topology change
 //! via [`Module::on_topology_change`].
+//!
+//! ## End-of-instant flush
+//!
+//! The first delta a relay (or the root core) stages on any edge during
+//! a simulated microsecond arms a one-shot flush for that microsecond,
+//! keyed [`u64::MAX`] so it runs after every other event at that
+//! instant — in the same order in every shard partition. Pushes from
+//! ranks at one depth reach the root in the same microsecond, so each
+//! edge carries one [`RelayDeltaBatch`] for all of them, while every
+//! delta still leaves at the instant it was published, in sequence
+//! order. An edge removed or replaced mid-instant keeps its staged
+//! batch until that flush: its deltas were published while the edge
+//! still wanted them.
 //!
 //! ## Gap-free subscription hand-off
 //!
@@ -52,7 +65,6 @@ use crate::subscription::{
     TOPIC_SUBSCRIBE, TOPIC_UNSUBSCRIBE,
 };
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Rank, Topic};
-use fluxpm_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -69,11 +81,30 @@ pub const TOPIC_RELAY_ADVERT: &str = "power-monitor.relay-advert";
 /// Overlay topic: parent relay → child relay, a coalesced delta batch.
 pub const TOPIC_RELAY_DELTAS: &str = "power-monitor.relay-deltas";
 
-/// Module-timer tag for the periodic pending-batch flush (only armed
-/// when [`MonitorConfig::relay_flush_interval`] is set).
-///
-/// [`MonitorConfig::relay_flush_interval`]: crate::MonitorConfig
+/// Module-timer tag of the relay's end-of-instant flush.
 const TIMER_RELAY_FLUSH: u64 = 1;
+
+/// Same-instant ordering key of the end-of-instant flush: above every
+/// other event key, message deliveries included.
+const FLUSH_KEY: u64 = u64::MAX;
+
+/// Arm `module`'s one-shot end-of-instant flush on `ctx.rank`; it calls
+/// back into [`Module::timer`] with `tag`.
+pub(crate) fn arm_flush(ctx: &mut ModuleCtx<'_>, module: &'static str, tag: u64) {
+    let now = ctx.eng.now();
+    ctx.world
+        .schedule_module_timer_once(ctx.eng, ctx.rank, module, now, FLUSH_KEY, tag);
+}
+
+/// Send every staged edge batch of `plane` from `from`, one
+/// [`RelayDeltaBatch`] event per edge.
+pub(crate) fn flush_plane(ctx: &mut ModuleCtx<'_>, from: Rank, plane: &mut RelayPlane) {
+    for (child, batch) in plane.flush() {
+        let req = MonitorRequest::RelayDeltas(batch);
+        let ev = Message::event(from, Rank(child), TOPIC_RELAY_DELTAS, req.encode());
+        ctx.world.send(ctx.eng, ev);
+    }
+}
 
 /// Aggregate terms beyond this collapse to match-everything: past a few
 /// dozen distinct subtree interests, evaluating the union per delta
@@ -232,11 +263,12 @@ impl RelayPlane {
     }
 
     /// Authoritatively replace one child edge's aggregate (an empty
-    /// aggregate removes the edge — and its pending batch — entirely).
+    /// aggregate removes the edge). A removed edge's staged batch still
+    /// leaves on the next [`flush`](RelayPlane::flush), which then drops
+    /// the edge's batch state.
     pub fn set_child(&mut self, child: u32, aggregate: AggregateFilter) {
         if aggregate.is_empty() {
             self.children.remove(&child);
-            self.pending.remove(&child);
         } else {
             self.children.insert(child, aggregate);
         }
@@ -248,12 +280,12 @@ impl RelayPlane {
     }
 
     /// Drop edges whose child rank no longer satisfies `keep` (after a
-    /// topology change re-parented them elsewhere). Their pending
-    /// batches are dropped too — the child's new parent serves it now.
+    /// topology change re-parented them elsewhere) — the child's new
+    /// parent serves it from now on. As with
+    /// [`set_child`](RelayPlane::set_child), staged batches still leave
+    /// on the next flush.
     pub fn retain_children(&mut self, mut keep: impl FnMut(u32) -> bool) {
         self.children.retain(|&c, _| keep(c));
-        let live = &self.children;
-        self.pending.retain(|c, _| live.contains_key(c));
     }
 
     /// The current child edges and their aggregates.
@@ -273,14 +305,17 @@ impl RelayPlane {
 
     /// Stage one delta on every interested edge. A full edge batch
     /// first coalesces to latest-per-(node, kind); if every entry is
-    /// for a distinct key the oldest is shed instead.
-    pub fn offer(&mut self, delta: &Arc<TelemetryDelta>) {
+    /// for a distinct key the oldest is shed instead. Returns whether
+    /// any edge staged it, i.e. whether a flush is now due.
+    pub fn offer(&mut self, delta: &Arc<TelemetryDelta>) -> bool {
         self.offered += 1;
         let cap = self.batch_capacity;
+        let mut staged = false;
         for (&child, agg) in &self.children {
             if !agg.matches(delta) {
                 continue;
             }
+            staged = true;
             let batch = self.pending.entry(child).or_default();
             if batch.deltas.len() >= cap {
                 batch.shed += coalesce(&mut batch.deltas);
@@ -291,27 +326,30 @@ impl RelayPlane {
             }
             batch.deltas.push(Arc::clone(delta));
         }
+        staged
     }
 
     /// Drain every non-empty edge batch: one wire message per edge per
-    /// flush, regardless of how many subscribers sit below it.
+    /// flush, regardless of how many subscribers sit below it. Batch
+    /// state of edges removed since the last flush goes with it.
     pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
         let mut out = Vec::new();
-        for (&child, batch) in self.pending.iter_mut() {
-            if batch.deltas.is_empty() {
-                continue;
+        let children = &self.children;
+        self.pending.retain(|&child, batch| {
+            if !batch.deltas.is_empty() {
+                let deltas = std::mem::take(&mut batch.deltas);
+                self.egress_msgs += 1;
+                self.egress_deltas += deltas.len() as u64;
+                out.push((
+                    child,
+                    RelayDeltaBatch {
+                        deltas,
+                        shed: batch.shed,
+                    },
+                ));
             }
-            let deltas = std::mem::take(&mut batch.deltas);
-            self.egress_msgs += 1;
-            self.egress_deltas += deltas.len() as u64;
-            out.push((
-                child,
-                RelayDeltaBatch {
-                    deltas,
-                    shed: batch.shed,
-                },
-            ));
-        }
+            children.contains_key(&child)
+        });
         out
     }
 
@@ -349,7 +387,8 @@ pub struct TelemetryRelay {
     /// The aggregate last advertised upward (`None` forces the next
     /// advert, e.g. after a re-parent put a new relay above us).
     advertised: Option<AggregateFilter>,
-    flush_every: Option<SimDuration>,
+    /// An end-of-instant flush is scheduled for the current instant.
+    flush_armed: bool,
     /// Monotonic ingest high-water mark: sequence numbers below this
     /// were already ingested here. Normal tree flow is strictly
     /// increasing per edge; the guard only fires when re-parenting
@@ -360,21 +399,15 @@ pub struct TelemetryRelay {
 }
 
 impl TelemetryRelay {
-    /// A relay with the given subscriber bounds, edge batch capacity,
-    /// and flush cadence (`None` flushes synchronously per ingest —
-    /// still one wire message per edge per upstream batch).
-    pub fn new(
-        subs: SubscriptionConfig,
-        batch_capacity: usize,
-        flush_every: Option<SimDuration>,
-    ) -> TelemetryRelay {
+    /// A relay with the given subscriber bounds and edge batch capacity.
+    pub fn new(subs: SubscriptionConfig, batch_capacity: usize) -> TelemetryRelay {
         TelemetryRelay {
             hub: TelemetryHub::new(subs),
             plane: RelayPlane::new(batch_capacity),
             pending_subs: BTreeMap::new(),
             next_token: 1,
             advertised: None,
-            flush_every,
+            flush_armed: false,
             next_ingest: 0,
         }
     }
@@ -408,9 +441,9 @@ impl TelemetryRelay {
     /// Drain this relay's downstream edges into the child map of a
     /// root core absorbing it (the broker just became the root, so the
     /// core — which migrated here with its state — takes over the
-    /// edges this relay was serving).
+    /// edges this relay was serving). Batches already staged here stay
+    /// and leave on this relay's armed end-of-instant flush.
     pub fn take_children(&mut self) -> Vec<(u32, AggregateFilter)> {
-        self.plane.pending.clear();
         std::mem::take(&mut self.plane.children)
             .into_iter()
             .collect()
@@ -482,13 +515,6 @@ impl TelemetryRelay {
         }
         let req = MonitorRequest::RelayAdvert(RelayAdvert { aggregate: agg });
         Self::send_event(ctx, parent, TOPIC_RELAY_ADVERT, req.encode());
-    }
-
-    fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        for (child, batch) in self.plane.flush() {
-            let req = MonitorRequest::RelayDeltas(batch);
-            Self::send_event(ctx, Rank(child), TOPIC_RELAY_DELTAS, req.encode());
-        }
     }
 
     fn on_subscribe(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: SubscribeRequest) {
@@ -567,7 +593,7 @@ impl TelemetryRelay {
         }
     }
 
-    fn on_relay_seed(&mut self, ctx: &mut ModuleCtx<'_>, reply: RelaySeedReply) {
+    fn on_relay_seed(&mut self, ctx: &mut ModuleCtx<'_>, reply: &RelaySeedReply) {
         let Some((request, filter)) = self.pending_subs.remove(&reply.token) else {
             // A duplicate seed (re-issued climb after a topology
             // change) — the first one registered the subscriber.
@@ -621,18 +647,20 @@ impl TelemetryRelay {
         self.maybe_advertise(ctx);
     }
 
-    fn on_relay_deltas(&mut self, ctx: &mut ModuleCtx<'_>, batch: RelayDeltaBatch) {
+    fn on_relay_deltas(&mut self, ctx: &mut ModuleCtx<'_>, batch: &RelayDeltaBatch) {
         let evicted_before = self.hub.evicted();
+        let mut staged = false;
         for delta in &batch.deltas {
             if delta.seq < self.next_ingest {
                 continue;
             }
             self.next_ingest = delta.seq + 1;
             self.hub.ingest(delta);
-            self.plane.offer(delta);
+            staged |= self.plane.offer(delta);
         }
-        if self.flush_every.is_none() {
-            self.flush_downstream(ctx);
+        if staged && !self.flush_armed {
+            self.flush_armed = true;
+            arm_flush(ctx, RELAY, TIMER_RELAY_FLUSH);
         }
         if self.hub.evicted() != evicted_before {
             // Evictions may have narrowed what this subtree wants.
@@ -658,23 +686,12 @@ impl Module for TelemetryRelay {
         ]
     }
 
-    fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if let Some(every) = self.flush_every {
-            let start = ctx.eng.now() + every;
-            ctx.world.schedule_module_timer(
-                ctx.eng,
-                ctx.rank,
-                RELAY,
-                start,
-                every,
-                TIMER_RELAY_FLUSH,
-            );
-        }
-    }
+    fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
 
     fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
         if tag == TIMER_RELAY_FLUSH {
-            self.flush_downstream(ctx);
+            self.flush_armed = false;
+            flush_plane(ctx, ctx.rank, &mut self.plane);
         }
     }
 
@@ -689,17 +706,18 @@ impl Module for TelemetryRelay {
             },
             MsgKind::Event => {
                 if msg.topic.as_str() == TOPIC_RELAY_SEED {
-                    if let Ok(MonitorReply::RelaySeed(seed)) = MonitorReply::decode(msg) {
+                    if let Ok(MonitorReply::RelaySeed(seed)) = MonitorReply::decode_ref(msg) {
                         self.on_relay_seed(ctx, seed);
                     }
                     return;
                 }
-                match MonitorRequest::decode(msg) {
+                // Borrowed: a delta batch is only read, never kept.
+                match MonitorRequest::decode_ref(msg) {
                     Ok(MonitorRequest::RelaySubscribe(req)) => {
-                        self.on_relay_subscribe(ctx, msg, req)
+                        self.on_relay_subscribe(ctx, msg, req.clone())
                     }
                     Ok(MonitorRequest::RelayAdvert(advert)) => {
-                        self.on_relay_advert(ctx, msg, advert)
+                        self.on_relay_advert(ctx, msg, advert.clone())
                     }
                     Ok(MonitorRequest::RelayDeltas(batch)) => self.on_relay_deltas(ctx, batch),
                     _ => {}
@@ -854,12 +872,19 @@ mod tests {
     }
 
     #[test]
-    fn empty_advert_removes_edge() {
+    fn empty_advert_removes_edge_after_its_staged_batch_leaves() {
         let mut plane = RelayPlane::new(8);
         plane.set_child(1, AggregateFilter::everything());
-        plane.offer(&delta(0, 0, 0, None));
+        assert!(plane.offer(&delta(0, 0, 0, None)), "staged: flush due");
         plane.set_child(1, AggregateFilter::empty());
-        assert!(plane.flush().is_empty(), "edge and pending batch gone");
         assert_eq!(plane.children().count(), 0);
+        assert!(!plane.offer(&delta(1, 0, 0, None)), "no edge, nothing due");
+        // The delta staged while the edge was interested still leaves;
+        // then the edge is gone.
+        let flushed = plane.flush();
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].1.deltas[0].seq, 0);
+        assert!(plane.flush().is_empty());
+        assert!(plane.pending.is_empty(), "edge batch state dropped");
     }
 }

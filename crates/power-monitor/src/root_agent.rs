@@ -16,7 +16,8 @@
 //! samples up ([`crate::subscription::TOPIC_SAMPLE_PUSH`]), the agent
 //! assigns each resulting delta its global sequence number and keeps the
 //! latest-per-node snapshot, then distributes the delta down the TBON —
-//! once per interested child edge via its [`RelayPlane`] — where the
+//! staged per interested child edge in its [`RelayPlane`] and sent as
+//! one batch per edge at the end of the instant — where the
 //! per-broker [`TelemetryRelay`]s fan it out to the subscribers attached
 //! in their subtrees (see [`crate::relay`]). Subscribers attached at the
 //! root rank itself are served by the root rank's co-located relay,
@@ -27,7 +28,7 @@ use crate::proto::{
     JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply, MonitorRequest,
     NodeDataReply, NodeDataRequest, NodeStats, SamplePush,
 };
-use crate::relay::{AggregateFilter, RelayPlane, TelemetryRelay, RELAY, TOPIC_RELAY_DELTAS};
+use crate::relay::{arm_flush, flush_plane, AggregateFilter, RelayPlane, TelemetryRelay, RELAY};
 use crate::subscription::{
     LinkSample, SubscriptionConfig, SubscriptionFilter, TelemetryDelta, TelemetryHub,
     TOPIC_SAMPLE_PUSH,
@@ -53,10 +54,7 @@ pub const TOPIC_GET_JOB_STATS: &str = "power-monitor.get-job-stats";
 
 /// Module-timer tag for the periodic link-health export.
 const TIMER_LINK_EXPORT: u64 = 1;
-/// Module-timer tag for the periodic downstream-batch flush (only armed
-/// when [`MonitorConfig::relay_flush_interval`] is set).
-///
-/// [`MonitorConfig::relay_flush_interval`]: crate::MonitorConfig
+/// Module-timer tag of the end-of-instant downstream flush.
 const TIMER_RELAY_FLUSH: u64 = 2;
 
 /// In-flight aggregation for one client request.
@@ -108,9 +106,9 @@ pub struct RootAgent {
     /// Downstream fan-out: per-child-edge aggregate filters and pending
     /// coalesced batches. Migrates live with the root service.
     plane: RelayPlane,
-    /// Timer-driven flush cadence (`None` flushes synchronously after
-    /// every publish — one wire message per interested edge per push).
-    flush_every: Option<SimDuration>,
+    /// The rank whose end-of-instant flush is armed for the current
+    /// instant (`None` when nothing is staged).
+    flush_armed_on: Option<Rank>,
     /// Samples pushed up by node agents (diagnostics).
     pushes_received: u64,
     /// When set, publish every active link's queueing health into the
@@ -142,7 +140,7 @@ impl RootAgent {
             inflight: Rc::new(RefCell::new(BTreeMap::new())),
             hub: TelemetryHub::new(subs),
             plane: RelayPlane::new(crate::DEFAULT_RELAY_BATCH_CAPACITY),
-            flush_every: None,
+            flush_armed_on: None,
             pushes_received: 0,
             link_export_every: None,
             link_exports: 0,
@@ -156,15 +154,9 @@ impl RootAgent {
         self
     }
 
-    /// Tune the downstream fan-out: edge batch capacity and an optional
-    /// timer-driven flush cadence (`None` flushes per publish).
-    pub fn with_relay_batching(
-        mut self,
-        capacity: usize,
-        flush_every: Option<SimDuration>,
-    ) -> RootAgent {
+    /// Tune the downstream fan-out's per-edge batch capacity.
+    pub fn with_relay_batching(mut self, capacity: usize) -> RootAgent {
         self.plane = RelayPlane::new(capacity);
-        self.flush_every = flush_every;
         self
     }
 
@@ -203,6 +195,12 @@ impl RootAgent {
         &self.plane
     }
 
+    /// Whether an end-of-instant downstream flush is armed (diagnostics
+    /// and tests: between instants it never is).
+    pub fn flush_armed(&self) -> bool {
+        self.flush_armed_on.is_some()
+    }
+
     /// Widen one child edge by a climbing subscription's filter
     /// (called by the co-located relay when a `RelaySubscribe` lands).
     pub fn merge_child(&mut self, child: u32, filter: &SubscriptionFilter) {
@@ -226,11 +224,15 @@ impl RootAgent {
         (self.hub.snapshot_for(filter), self.hub.next_seq())
     }
 
-    /// Distribute one freshly published delta: once per interested
-    /// child edge (coalesced per edge), plus a synchronous hand-off to
-    /// the co-located relay for subscribers attached at the root rank.
+    /// Distribute one freshly published delta: staged once per
+    /// interested child edge (sent by the end-of-instant flush), plus a
+    /// synchronous hand-off to the co-located relay for subscribers
+    /// attached at the root rank.
     fn distribute(&mut self, ctx: &mut ModuleCtx<'_>, delta: &Arc<TelemetryDelta>) {
-        self.plane.offer(delta);
+        if self.plane.offer(delta) && self.flush_armed_on.is_none() {
+            self.flush_armed_on = Some(ctx.rank);
+            arm_flush(ctx, ROOT_AGENT, TIMER_RELAY_FLUSH);
+        }
         if let Some(module) = ctx.world.brokers[ctx.rank.index()].module(RELAY) {
             let mut guard = module.borrow_mut();
             if let Some(relay) = guard
@@ -239,34 +241,6 @@ impl RootAgent {
             {
                 relay.ingest_direct(delta);
             }
-        }
-        if self.flush_every.is_none() {
-            self.flush_downstream(ctx);
-        }
-    }
-
-    fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        for (child, batch) in self.plane.flush() {
-            let req = MonitorRequest::RelayDeltas(batch);
-            let ev = Message::event(ctx.rank, Rank(child), TOPIC_RELAY_DELTAS, req.encode());
-            ctx.world.send(ctx.eng, ev);
-        }
-    }
-
-    /// Arm the periodic downstream flush on the hosting rank (same
-    /// re-arm discipline as the link export: timers are pinned to a
-    /// broker incarnation).
-    fn arm_relay_flush(&self, ctx: &mut ModuleCtx<'_>) {
-        if let Some(every) = self.flush_every {
-            let start = ctx.eng.now() + every;
-            ctx.world.schedule_module_timer(
-                ctx.eng,
-                ctx.rank,
-                ROOT_AGENT,
-                start,
-                every,
-                TIMER_RELAY_FLUSH,
-            );
         }
     }
 
@@ -572,12 +546,12 @@ impl Module for RootAgent {
 
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.arm_link_export(ctx);
-        self.arm_relay_flush(ctx);
     }
 
     fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
         if tag == TIMER_RELAY_FLUSH {
-            self.flush_downstream(ctx);
+            self.flush_armed_on = None;
+            flush_plane(ctx, ctx.rank, &mut self.plane);
             return;
         }
         if tag != TIMER_LINK_EXPORT {
@@ -623,6 +597,13 @@ impl Module for RootAgent {
     }
 
     fn on_migrate(&mut self, ctx: &mut ModuleCtx<'_>) {
+        // Batches staged on the old root this instant were published
+        // before it died, but their flush died with its broker
+        // incarnation. Send them from there now: the dead origin drops
+        // them like any message it had in flight.
+        if let Some(old_root) = self.flush_armed_on.take() {
+            flush_plane(ctx, old_root, &mut self.plane);
+        }
         // The old root's fan-out callbacks were cancelled with its
         // broker. Re-issue every unfinished client aggregation from the
         // new root: re-address the stored request to this rank (replies
@@ -673,7 +654,6 @@ impl Module for RootAgent {
         // The old root's timers died with its broker incarnation;
         // re-arm them here.
         self.arm_link_export(ctx);
-        self.arm_relay_flush(ctx);
     }
 
     fn on_topology_change(&mut self, ctx: &mut ModuleCtx<'_>) {
@@ -724,6 +704,7 @@ impl Module for RootAgent {
     }
 
     fn restore(&mut self, snapshot: &StateValue) {
+        self.flush_armed_on = None;
         self.inflight.borrow_mut().clear();
         for entry in snapshot
             .get("inflight")

@@ -27,6 +27,7 @@
 //! assert_eq!(world, vec![1, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod baseline;
 pub mod engine;

@@ -16,6 +16,7 @@
 //! Every call also reports its host-CPU cost so the monitor's overhead
 //! model (paper Fig. 3) has a physical basis.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod api;
 pub mod error;

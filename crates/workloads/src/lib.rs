@@ -19,6 +19,7 @@
 //! Calibration targets are documented on each constant in [`apps`];
 //! EXPERIMENTS.md records how close the reproduction lands.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod apps;
 pub mod inputs;

@@ -47,6 +47,7 @@
 //! println!("{}", fluxpm::monitor::job_data_to_csv(&data));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 /// Discrete-event simulation engine (re-export of `fluxpm-sim`).
 pub mod sim {

@@ -7,41 +7,75 @@
 //! O(subscribers). These tests drive the full in-sim lifecycle at leaf
 //! ranks, check the leaf stream is identical to the root-attached
 //! stream (the PR 7 hub semantics, preserved through the tree), watch
-//! filter aggregation narrow the root's egress, and exercise the two
+//! filter aggregation narrow the root's egress, check that same-instant
+//! deltas share one wire message per edge without moving their arrival
+//! time, and exercise the two
 //! failure modes the design calls out: root failover (subscriptions at
 //! surviving relays resume, gap-checked, duplicate-free) and subscriber
 //! broker death (fresh relay, re-subscribe re-seeds from the latest
 //! snapshot).
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, Rank, World};
+use fluxpm::flux::{Engine, FluxEngine, JobSpec, MsgKind, Rank, World};
 use fluxpm::hw::{MachineKind, NodeId};
+use fluxpm::monitor::relay::TOPIC_RELAY_DELTAS;
+use fluxpm::monitor::subscription::TOPIC_SAMPLE_PUSH;
 use fluxpm::monitor::{
     DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, RootAgent, SubscriptionFilter,
     TelemetryDelta, RELAY, ROOT_AGENT,
 };
-use fluxpm::sim::{SimDuration, SimTime};
+use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel};
 use fluxpm::workloads::{laghos, App, JitterModel};
 
-/// A 4-node world (TBON: 0 -> {1, 2}, 1 -> {3}) with sample pushes
-/// every 2 s and one long job, so telemetry flows the whole window.
-fn pushing_world(config: MonitorConfig) -> (World, FluxEngine) {
-    let mut w = World::new(MachineKind::Lassen, 4, 37);
+/// A `nodes`-rank world (binary TBON; at 4 nodes: 0 -> {1, 2}, 1 -> {3})
+/// with sample pushes every 2 s and one long job, so telemetry flows the
+/// whole window.
+fn pushing_world(nodes: u32, config: MonitorConfig) -> (World, FluxEngine) {
+    let mut w = World::new(MachineKind::Lassen, nodes, 37);
     let mut eng: FluxEngine = Engine::new();
     fluxpm::monitor::load(&mut w, &mut eng, config);
     w.install_executor(&mut eng);
     w.submit(
         &mut eng,
-        JobSpec::new("Laghos", 4),
+        JobSpec::new("Laghos", nodes),
         Box::new(
-            App::with_jitter(laghos(), MachineKind::Lassen, 4, 9, JitterModel::none())
+            App::with_jitter(laghos(), MachineKind::Lassen, nodes, 9, JitterModel::none())
                 .with_work_seconds(500.0),
         ),
     );
     (w, eng)
+}
+
+fn push_config() -> MonitorConfig {
+    MonitorConfig::default().with_push_interval(SimDuration::from_secs(2))
+}
+
+/// Instants (µs) at which the overlay delivered a `kind` message on
+/// `topic` from `from` to `to`, read from a Debug-level world trace.
+fn delivery_times(w: &World, from: Rank, to: Rank, kind: MsgKind, topic: &str) -> Vec<u64> {
+    let line = format!("deliver {from} -> {to} {kind:?} topic {topic}");
+    w.trace
+        .for_subsystem("tbon")
+        .filter(|e| e.message == line)
+        .map(|e| e.at.as_micros())
+        .collect()
+}
+
+/// Sample pushes landing at root rank 0 after `after_us`: instant → how
+/// many landed in it.
+fn root_push_arrivals(w: &World, after_us: u64) -> BTreeMap<u64, usize> {
+    let mut arrivals = BTreeMap::new();
+    for r in 0..w.size() {
+        for at in delivery_times(w, Rank(r), Rank(0), MsgKind::Request, TOPIC_SAMPLE_PUSH) {
+            if at > after_us {
+                *arrivals.entry(at).or_default() += 1;
+            }
+        }
+    }
+    arrivals
 }
 
 type Slot<T> = Rc<RefCell<Option<T>>>;
@@ -122,8 +156,7 @@ fn with_root_agent<R>(w: &mut World, rank: Rank, f: impl FnOnce(&RootAgent) -> R
 /// same observable contract the root-attached path has always had.
 #[test]
 fn leaf_subscriber_lifecycle_through_relay() {
-    let (mut w, mut eng) =
-        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let (mut w, mut eng) = pushing_world(4, push_config());
     let leaf = Rank(3);
 
     let sub_q: Slot<QueryHandle> = slot();
@@ -265,8 +298,7 @@ fn leaf_subscriber_lifecycle_through_relay() {
 /// the fan-out work, never what a consumer observes.
 #[test]
 fn leaf_stream_is_byte_identical_to_root_stream() {
-    let (mut w, mut eng) =
-        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let (mut w, mut eng) = pushing_world(4, push_config());
 
     let at_root: Slot<QueryHandle> = slot();
     let at_leaf: Slot<QueryHandle> = slot();
@@ -296,8 +328,8 @@ fn leaf_stream_is_byte_identical_to_root_stream() {
 /// per-edge — O(fanout) — not per-subscriber.
 #[test]
 fn filter_aggregation_narrows_root_egress() {
-    let (mut w, mut eng) =
-        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let (mut w, mut eng) = pushing_world(4, push_config());
+    w.trace = Trace::enabled(TraceLevel::Debug);
     let leaf = Rank(3);
 
     // Two leaf subscribers with the same node-3-only filter: fan-out
@@ -317,6 +349,9 @@ fn filter_aggregation_narrows_root_egress() {
 
     eng.run_until(&mut w, SimTime::from_secs(24));
 
+    // Every climb lands well before the t=6 push round, so from then on
+    // the edge to rank 1 matches every pushed delta.
+    let arrivals = root_push_arrivals(&w, 5_000_000);
     with_root_agent(&mut w, Rank(0), |agent| {
         let children: Vec<(u32, bool)> = agent
             .plane()
@@ -327,20 +362,84 @@ fn filter_aggregation_narrows_root_egress() {
         // firehose widened that one edge to match-all. Rank 2's edge
         // never materialized.
         assert_eq!(children, vec![(1, true)], "{children:?}");
-        // Egress is per-edge: one wire message per push round on one
-        // edge, regardless of three subscribers sitting below it.
+        // Egress is per-edge and per-instant: exactly one wire message
+        // on the one interested edge per instant in which pushes
+        // landed, carrying every delta of that instant, regardless of
+        // three subscribers sitting below it.
         let msgs = agent.plane().egress_msgs();
-        let offered = agent.plane().offered();
-        assert!(msgs > 0 && offered > 0);
-        assert!(
-            msgs <= offered,
-            "one edge interested: at most one egress message per offered delta \
-             (msgs={msgs}, offered={offered})"
-        );
+        let deltas = agent.plane().egress_deltas();
+        assert!(msgs > 0);
+        assert_eq!(msgs, arrivals.len() as u64, "{arrivals:?}");
+        assert_eq!(deltas, arrivals.values().sum::<usize>() as u64);
     });
     let deltas = streamed.borrow().clone();
     let nodes: BTreeSet<u32> = deltas.iter().map(|d| d.node).collect();
     assert_eq!(nodes.len(), 4, "the firehose still sees every node");
+}
+
+/// Same-instant coalescing: pushes from every rank at one depth land at
+/// the root in the same microsecond, and leave each interested edge as
+/// exactly one `RelayDeltas` message — yet every delta still reaches the
+/// leaf at the instant it was published at the root plus 20 µs per hop.
+#[test]
+fn same_instant_pushes_share_one_message_per_edge() {
+    // Binary TBON over 16 ranks: depth 3 holds ranks 7..=14, and leaf
+    // rank 15 hangs four hops below the root (15 -> 7 -> 3 -> 1 -> 0).
+    let (mut w, mut eng) = pushing_world(16, push_config());
+    w.trace = Trace::enabled(TraceLevel::Debug);
+    let leaf = Rank(15);
+    let path = [Rank(0), Rank(1), Rank(3), Rank(7), leaf];
+    let sub_q: Slot<QueryHandle> = slot();
+    subscribe_at(&mut eng, leaf, 5, &sub_q);
+    let streamed = Rc::new(RefCell::new(Vec::new()));
+    // Two drains keep the 64-delta queue from shedding.
+    for at_us in [9_000_000, 13_000_000] {
+        poll_into(&mut eng, leaf, &sub_q, at_us, &streamed);
+    }
+
+    eng.run_until(&mut w, SimTime::from_micros(13_900_000));
+
+    // Push rounds at t = 6, 8, 10, 12 s, each landing at the root in
+    // one instant per pushing depth.
+    let arrivals = root_push_arrivals(&w, 5_000_000);
+    assert_eq!(
+        arrivals.values().copied().max(),
+        Some(8),
+        "all eight depth-3 pushes share one instant: {arrivals:?}"
+    );
+    let hop_us = w.tbon.hop_latency.as_micros();
+    for (hops, pair) in path.windows(2).enumerate() {
+        let got = delivery_times(&w, pair[0], pair[1], MsgKind::Event, TOPIC_RELAY_DELTAS);
+        let want: Vec<u64> = arrivals
+            .keys()
+            .map(|at| at + (hops as u64 + 1) * hop_us)
+            .collect();
+        assert_eq!(
+            got, want,
+            "edge {} -> {}: one batch per push instant, one hop latency per hop later",
+            pair[0], pair[1]
+        );
+    }
+    // The sibling subtree asked for nothing: its edge stays silent.
+    assert!(delivery_times(&w, Rank(0), Rank(2), MsgKind::Event, TOPIC_RELAY_DELTAS).is_empty());
+
+    // The subscriber got its seed (one latest delta per node), then
+    // every delta published after it, gap-free and in order.
+    let deltas = streamed.borrow().clone();
+    assert!(deltas.len() > 16, "{} deltas", deltas.len());
+    let (seed, stream) = deltas.split_at(16);
+    let seeded: BTreeSet<u32> = seed.iter().map(|d| d.node).collect();
+    assert_eq!(seeded.len(), 16, "seeded one latest delta per node");
+    assert_eq!(stream.len(), arrivals.values().sum::<usize>());
+    assert!(deltas.windows(2).all(|p| p[0].seq < p[1].seq));
+    assert!(stream.windows(2).all(|p| p[0].seq + 1 == p[1].seq));
+    with_root_agent(&mut w, Rank(0), |agent| {
+        assert_eq!(agent.plane().egress_msgs(), arrivals.len() as u64);
+        assert!(
+            !agent.flush_armed(),
+            "every flush ran by the end of its instant"
+        );
+    });
 }
 
 /// Root failover: the authoritative hub (sequence counter, latest
@@ -350,8 +449,7 @@ fn filter_aggregation_narrows_root_egress() {
 /// without re-subscribing.
 #[test]
 fn leaf_subscription_survives_root_failover() {
-    let (mut w, mut eng) =
-        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let (mut w, mut eng) = pushing_world(4, push_config());
     let leaf = Rank(3);
 
     let sub_q: Slot<QueryHandle> = slot();
@@ -373,8 +471,13 @@ fn leaf_subscription_survives_root_failover() {
     eng.run_until(&mut w, SimTime::from_secs(35));
     assert_eq!(w.root(), Rank(1), "deterministic successor election");
 
-    let before = before.borrow().clone();
-    let after = after.borrow().clone();
+    assert_stream_survived_failover(&before.borrow(), &after.borrow());
+}
+
+/// A leaf stream polled before and after the t=20 root failover flowed
+/// on both sides, resumed with post-failover deltas from the surviving
+/// nodes, and stayed strictly ordered and duplicate-free.
+fn assert_stream_survived_failover(before: &[TelemetryDelta], after: &[TelemetryDelta]) {
     assert!(!before.is_empty(), "stream flowed before the failover");
     assert!(
         after.iter().any(|d| d.timestamp_us > 21_000_000),
@@ -396,6 +499,59 @@ fn leaf_subscription_survives_root_failover() {
     );
 }
 
+/// Root failover with a batch staged but not yet flushed: the root dies
+/// in the very instant the t=20 pushes from ranks 1 and 2 landed, after
+/// it published them and before its end-of-instant flush ran. The
+/// staged batch leaves from the dead root and is dropped there like any
+/// message the root had in flight; the promoted root starts clean and
+/// the leaf stream stays ordered and duplicate-free.
+#[test]
+fn staged_batch_at_root_death_keeps_leaf_stream_ordered() {
+    let (mut w, mut eng) = pushing_world(4, push_config());
+    w.trace = Trace::enabled(TraceLevel::Warn);
+    let leaf = Rank(3);
+
+    let sub_q: Slot<QueryHandle> = slot();
+    subscribe_at(&mut eng, leaf, 5, &sub_q);
+    let before = Rc::new(RefCell::new(Vec::new()));
+    let after = Rc::new(RefCell::new(Vec::new()));
+    poll_into(&mut eng, leaf, &sub_q, 15_000_000, &before);
+
+    // Key 1 runs after the instant's deliveries (key 0) and before its
+    // end-of-instant flush (key u64::MAX).
+    let landed_us = 20_000_000 + w.tbon.hop_latency.as_micros();
+    eng.schedule_keyed(SimTime::from_micros(landed_us), 1, |w: &mut World, eng| {
+        let staged = with_root_agent(w, Rank(0), |agent| agent.flush_armed());
+        assert!(staged, "the landed pushes are staged, not yet sent");
+        w.fail_node(eng, NodeId(0));
+    });
+    poll_into(&mut eng, leaf, &sub_q, 32_000_000, &after);
+
+    eng.run_until(&mut w, SimTime::from_secs(35));
+    assert_eq!(w.root(), Rank(1), "deterministic successor election");
+
+    let dropped = format!(
+        "drop from downed {}: Event -> {} topic {TOPIC_RELAY_DELTAS}",
+        Rank(0),
+        Rank(1)
+    );
+    assert!(
+        w.trace
+            .entries()
+            .iter()
+            .any(|e| e.at.as_micros() == landed_us && e.message == dropped),
+        "the staged batch left from the dead root"
+    );
+    with_root_agent(&mut w, Rank(1), |agent| {
+        assert!(
+            !agent.flush_armed(),
+            "no flush stays armed on the promoted root"
+        );
+    });
+
+    assert_stream_survived_failover(&before.borrow(), &after.borrow());
+}
+
 /// Subscriber-broker death: the relay (and its queues) die with the
 /// broker. After recovery the rank hosts a fresh relay — the old id is
 /// unknown there — and a re-subscribe at the recovered rank re-seeds
@@ -403,8 +559,7 @@ fn leaf_subscription_survives_root_failover() {
 /// eviction.
 #[test]
 fn broker_death_drops_local_subscribers_and_resubscribe_reseeds() {
-    let (mut w, mut eng) =
-        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let (mut w, mut eng) = pushing_world(4, push_config());
     let leaf = Rank(3);
 
     let sub_q: Slot<QueryHandle> = slot();
