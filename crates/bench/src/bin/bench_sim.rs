@@ -18,9 +18,6 @@
 //! * per-hop overlay delivery cost from root → leaf echo round trips;
 //! * wall time of the 128-rank chaos storms (standard and long
 //!   horizon), against the recorded pre-optimization stack numbers;
-//! * the shard-scaling curve: the identical 128-rank storm across
-//!   1/2/4/8 worker-thread shards (trace-hash-checked, so every point
-//!   computes the same thing), plus the 100k-rank fleet soak;
 //! * the full-fidelity shard-scaling curve: the real monitor + manager
 //!   stack (production node agents, proportional power manager, RPC
 //!   retries, deterministic congestion) sharded across 1/2/4/8 worker
@@ -35,12 +32,10 @@
 //! file is a trajectory anchor, not a portable constant.
 
 use fluxpm_bench::workload::{
-    churn_baseline, churn_new, shard_fleet_config, shard_scaling_config, sliced_drain_baseline,
-    sliced_drain_new, DeliveryRig,
+    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, DeliveryRig,
 };
 use fluxpm_experiments::chaos::{storm, StormConfig};
 use fluxpm_experiments::full_shard::{full_shard_run, FullShardConfig};
-use fluxpm_experiments::sharded::sharded_storm;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -116,37 +111,15 @@ fn main() {
     const PRE_PR_STD_S: f64 = 0.042;
     const PRE_PR_LONG_S: f64 = 0.198;
 
-    // Shard scaling: the identical 128-rank storm (heavy per-tick
-    // compute, merged trace invariant across all points — the hash
-    // equality below proves every measurement computed the same thing)
-    // across 1/2/4/8 worker-thread shards.
-    let shard_counts = [1usize, 2, 4, 8];
-    let mut shard_walls = [0.0f64; 4];
-    let reference = sharded_storm(&shard_scaling_config(128, 1, 42));
-    for (i, &shards) in shard_counts.iter().enumerate() {
-        let cfg = shard_scaling_config(128, shards, 42);
-        let out = sharded_storm(&cfg); // warm-up + invariance check
-        assert_eq!(
-            out.trace_hash, reference.trace_hash,
-            "shard count must not change the storm"
-        );
-        shard_walls[i] = best_of(3, || sharded_storm(&cfg));
-    }
-    let speedup_4 = shard_walls[0] / shard_walls[2];
-    // Parallel speedup needs parallel hardware: on hosts with fewer
-    // than 4 cores the curve degenerates to pure coordination overhead,
-    // so that is what gets gated there (see the asserts at the end).
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Fleet soak: 100k ranks on a fanout-16 TBON across 8 shards — the
-    // "whole-machine chaos soak in seconds" headline number.
-    let fleet_cfg = shard_fleet_config(100_000, 8, 42);
-    let fleet_out = sharded_storm(&fleet_cfg);
-    let fleet_s = best_of(2, || sharded_storm(&fleet_cfg));
-
     // Full-fidelity shard scaling: the real monitor + manager stack,
     // replicated control plane, deterministic congestion — across
     // 1/2/4/8 worker shards, record-hash-checked at every point.
+    // Parallel speedup needs parallel hardware: on hosts with fewer
+    // than 4 cores the curve degenerates to serialized replica
+    // overhead, so that is what gets gated there (see the asserts at
+    // the end).
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let shard_counts = [1usize, 2, 4, 8];
     let mut world_walls = [0.0f64; 4];
     let mut world_root_share = 0.0f64;
     let (_, world_ref) = full_shard_run(&FullShardConfig::congested(128, 1, 42));
@@ -211,42 +184,6 @@ fn main() {
         "    \"long_speedup_vs_pre_pr\": {:.2}",
         PRE_PR_LONG_S / long_s
     );
-    out.push_str("  },\n");
-    out.push_str("  \"sim_sharded\": {\n");
-    let _ = writeln!(out, "    \"storm_ranks\": 128,");
-    let _ = writeln!(out, "    \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        out,
-        "    \"gate\": \"{}\",",
-        if host_cores >= 4 {
-            "speedup >= 2x at 4 shards"
-        } else {
-            "coordination overhead <= 35% (host has < 4 cores)"
-        }
-    );
-    let _ = writeln!(out, "    \"trace_hash\": {},", reference.trace_hash);
-    for (i, &shards) in shard_counts.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    \"wall_s_{shards}_shards\": {:.4},",
-            shard_walls[i]
-        );
-    }
-    for (i, &shards) in shard_counts.iter().enumerate().skip(1) {
-        let _ = writeln!(
-            out,
-            "    \"speedup_{shards}_shards\": {:.2},",
-            shard_walls[0] / shard_walls[i]
-        );
-    }
-    out.push_str("    \"fleet\": {\n");
-    let _ = writeln!(out, "      \"ranks\": 100000,");
-    let _ = writeln!(out, "      \"shards\": 8,");
-    let _ = writeln!(out, "      \"events\": {},", fleet_out.events);
-    let _ = writeln!(out, "      \"windows\": {},", fleet_out.windows);
-    let _ = writeln!(out, "      \"boundary_msgs\": {},", fleet_out.boundary_msgs);
-    let _ = writeln!(out, "      \"wall_s\": {:.4}", fleet_s);
-    out.push_str("    }\n");
     out.push_str("  },\n");
     out.push_str("  \"sim_world_sharded\": {\n");
     let _ = writeln!(out, "    \"storm_ranks\": 128,");
@@ -318,40 +255,12 @@ fn main() {
         PRE_PR_STD_S / std_s,
         PRE_PR_LONG_S / long_s
     );
-    // Shard-scaling gate. With real parallel hardware, 4 worker shards
-    // must run the 128-rank storm at least 2x faster than one shard.
-    // On a host without 4 cores no scheduler can deliver that, so the
-    // gate degrades to the thing a starved host *can* measure: the
-    // window protocol's coordination overhead must stay bounded (4
-    // serialized shards at most 35% slower than one), which is what
-    // guarantees the speedup materializes the moment cores exist.
-    if host_cores >= 4 {
-        assert!(
-            speedup_4 >= 2.0,
-            "shard scaling fell below 2x at 4 shards ({speedup_4:.2}x; \
-             walls {shard_walls:?})"
-        );
-    } else {
-        let overhead = shard_walls[2] / shard_walls[0] - 1.0;
-        assert!(
-            overhead <= 0.35,
-            "window coordination overhead is {:.0}% on a {host_cores}-core \
-             host (walls {shard_walls:?}) — the protocol got expensive",
-            overhead * 100.0
-        );
-    }
-    // And the fleet headline must hold: 100k ranks in seconds, not
-    // minutes.
-    assert!(
-        fleet_s < 30.0,
-        "100k-rank fleet soak took {fleet_s:.1}s — no longer 'seconds'"
-    );
-    // Full-fidelity shard-scaling gate, same host-aware shape. With
-    // parallel hardware, sharding the real stack must pay: at least 3x
-    // at 4 shards. A starved host can only measure the serialized cost
-    // of running N replicas through the window protocol on one core —
-    // that must stay within 3x of the single-shard run (measured ~2x on
-    // a 1-core host: replicated control plane plus window barriers).
+    // Full-fidelity shard-scaling gate. With parallel hardware,
+    // sharding the real stack must pay: at least 3x at 4 shards. A host
+    // without 4 cores can only measure the serialized cost of running N
+    // replicas through the window protocol — that must stay within 3x
+    // of the single-shard run (measured ~2x on a 1-core host:
+    // replicated control plane plus window barriers).
     if host_cores >= 4 {
         assert!(
             world_speedup_4 >= 3.0,

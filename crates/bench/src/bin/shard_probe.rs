@@ -1,15 +1,15 @@
-//! Diagnostic: decompose shard-scaling wall time into compute vs
-//! window coordination. Not part of the committed baseline — run it
-//! when the `sim_sharded` or `sim_world_sharded` curve looks off:
+//! Diagnostic: decompose full-fidelity shard-scaling wall time into
+//! compute vs window coordination. Not part of the committed baseline —
+//! run it when the `sim_world_sharded` curve looks off:
 //!
 //! ```sh
 //! cargo run --release -p fluxpm-bench --bin shard_probe
-//! cargo run --release -p fluxpm-bench --bin shard_probe -- --full-fidelity
+//! cargo run --release -p fluxpm-bench --bin shard_probe -- --fleet 100000
 //! ```
 //!
-//! The default mode sweeps the lightweight storm world across shard
-//! counts and per-tick work levels. `--full-fidelity` sweeps the real
-//! monitor + manager stack instead and splits each point three ways:
+//! The default mode sweeps the real monitor + manager stack (the
+//! 128-rank congested storm) across shard counts 1/2/4/8 and splits
+//! each point three ways:
 //!
 //! * **compute** — wall time the shards spent executing events inside
 //!   their windows (summed across shards);
@@ -20,34 +20,12 @@
 //!   Shard 0 owns the root services (cluster/job managers, monitor
 //!   root, StateLog), so its busy share is the Amdahl floor on how far
 //!   the full-fidelity world can scale.
+//!
+//! `--fleet [ranks]` instead times one fleet-preset run (default 100k
+//! ranks) on 8 shards.
 
-use fluxpm_bench::workload::shard_scaling_config;
 use fluxpm_experiments::full_shard::{full_shard_run, FullShardConfig};
-use fluxpm_experiments::sharded::sharded_storm;
 use std::time::Instant;
-
-fn wall(cfg: &fluxpm_flux::shard::ShardStormConfig) -> (f64, u64, u64) {
-    let t = Instant::now();
-    let out = sharded_storm(cfg);
-    (t.elapsed().as_secs_f64(), out.windows, out.events)
-}
-
-fn storm_sweep() {
-    for &work in &[0u32, 1024, 16_384] {
-        for &shards in &[1usize, 2, 4, 8] {
-            let mut cfg = shard_scaling_config(128, shards, 42);
-            cfg.work_per_tick = work;
-            wall(&cfg); // warm-up
-            let (s, windows, events) = wall(&cfg);
-            println!(
-                "work={work:6} shards={shards} wall={:8.2}ms windows={windows:5} \
-                 events={events:8} ({:5.1}us/window)",
-                s * 1e3,
-                s * 1e6 / windows as f64
-            );
-        }
-    }
-}
 
 fn full_fidelity_sweep() {
     println!("full-fidelity 128-rank congested storm (real monitor + manager stack)");
@@ -110,9 +88,7 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(100_000);
         fleet_probe(ranks);
-    } else if args.iter().any(|a| a == "--full-fidelity") {
-        full_fidelity_sweep();
     } else {
-        storm_sweep();
+        full_fidelity_sweep();
     }
 }

@@ -28,7 +28,6 @@ pub mod experiments;
 pub mod full_shard;
 pub mod report;
 pub mod scenario;
-pub mod sharded;
 pub mod stats;
 
 pub use report::{JobResult, RunReport};
